@@ -428,8 +428,15 @@ pub fn record_hot_loop(bench: &str, decoded_ips: f64, structured_ips: f64) {
 /// into `hot_loop.<bench>` (alongside the engine comparison recorded by
 /// [`record_hot_loop`]): throughput with the default options, with an
 /// explicit no-op recorder, and with an enabled sampled recorder, plus
-/// the no-op overhead in percent (the tentpole's ≤ 3% budget).
-pub fn record_hot_loop_trace(bench: &str, baseline_ips: f64, noop_ips: f64, sampled_ips: f64) {
+/// the no-op overhead (a fraction, stored in percent; the tentpole's
+/// ≤ 3% budget) as the caller's gate measured it.
+pub fn record_hot_loop_trace(
+    bench: &str,
+    baseline_ips: f64,
+    noop_ips: f64,
+    sampled_ips: f64,
+    noop_overhead: f64,
+) {
     let path = bench_json_path();
     let path = path.as_path();
     let mut root = Json::load(path).unwrap_or_else(Json::object);
@@ -437,11 +444,7 @@ pub fn record_hot_loop_trace(bench: &str, baseline_ips: f64, noop_ips: f64, samp
         root = Json::object();
     }
     root.set("schema", Json::Str("slo-bench-v1".to_string()));
-    let overhead_pct = if noop_ips > 0.0 {
-        (baseline_ips / noop_ips - 1.0) * 100.0
-    } else {
-        0.0
-    };
+    let overhead_pct = noop_overhead * 100.0;
     let entry = root.entry_object("hot_loop").entry_object(bench);
     entry.set("untraced_instr_per_sec", Json::Num(baseline_ips));
     entry.set("noop_trace_instr_per_sec", Json::Num(noop_ips));

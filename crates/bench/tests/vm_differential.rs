@@ -104,6 +104,41 @@ fn engines_agree_sampling_only() {
 }
 
 #[test]
+fn engines_agree_on_sampling_period_edges() {
+    // Period 0 never samples, 1 samples every access, 97 is the default.
+    let prog = slo_workloads::mcf::build_config(slo_workloads::mcf::McfConfig {
+        n: 2_000,
+        iters: 4,
+        skew: 0,
+    });
+    for period in [0, 1, 97] {
+        let opts = VmOptions::builder()
+            .collect_edges(true)
+            .sample_dcache(true)
+            .sample_period(period)
+            .build();
+        check("mcf-small", &format!("period-{period}"), &prog, &opts);
+        let fb = run(&prog, &opts).expect("decoded run").feedback;
+        let sampled: u64 = fb
+            .funcs
+            .values()
+            .flat_map(|f| f.samples.values())
+            .map(|s| s.samples)
+            .sum();
+        let strides: usize = fb.funcs.values().map(|f| f.strides.len()).sum();
+        assert!(
+            strides > 0,
+            "period {period}: strides are collected per access"
+        );
+        if period == 0 {
+            assert_eq!(sampled, 0, "period 0 must record no samples");
+        } else {
+            assert!(sampled > 0, "period {period} must record samples");
+        }
+    }
+}
+
+#[test]
 fn engines_agree_on_transformed_programs() {
     // The evaluation path runs pipeline output, so the decoder must also
     // agree on post-transformation programs (peeled/split layouts).

@@ -107,11 +107,10 @@ struct Level {
     cfg: CacheLevelConfig,
     sets: u64,
     line_shift: u32,
-    /// tags[set * assoc + way]; u64::MAX = invalid
+    /// `tags[set * assoc..][..assoc]`, most recently used first;
+    /// `u64::MAX` = invalid. Ways only become invalid all at once (on
+    /// flush), so invalid ways always trail the valid ones.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    tick: u64,
 }
 
 impl Level {
@@ -126,45 +125,35 @@ impl Level {
             sets,
             line_shift: cfg.line.trailing_zeros(),
             tags: vec![u64::MAX; (sets * cfg.assoc) as usize],
-            stamps: vec![0; (sets * cfg.assoc) as usize],
-            tick: 0,
         }
     }
 
     /// Probe and (on miss) fill. Returns whether the access hit.
+    ///
+    /// Keeping each set in move-to-front order is exact LRU: a hit
+    /// rotates its way to the front, and a miss rotates the whole set so
+    /// the last way (an invalid way if there is one, else the least
+    /// recently used line) drops out and the new tag lands at way 0.
+    #[inline]
     fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         let block = addr >> self.line_shift;
-        let set = (block & (self.sets - 1)) as usize;
-        let base = set * self.cfg.assoc as usize;
-        let ways = &mut self.tags[base..base + self.cfg.assoc as usize];
-        for (w, tag) in ways.iter().enumerate() {
-            if *tag == block {
-                self.stamps[base + w] = self.tick;
-                return true;
-            }
+        let assoc = self.cfg.assoc as usize;
+        let base = (block & (self.sets - 1)) as usize * assoc;
+        let ways = &mut self.tags[base..base + assoc];
+        if ways[0] == block {
+            return true;
         }
-        // miss: evict LRU
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.cfg.assoc as usize {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = block;
-        self.stamps[base + victim] = self.tick;
-        false
+        let (hit, w) = match ways.iter().position(|&t| t == block) {
+            Some(w) => (true, w),
+            None => (false, assoc - 1),
+        };
+        ways.copy_within(0..w, 1);
+        ways[0] = block;
+        hit
     }
 
     fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
     }
 }
 

@@ -28,16 +28,9 @@
 use crate::cache::CacheSim;
 use crate::heap::{Heap, ScalarValue};
 use crate::interp::{ExecError, ExecOutcome, ExecStats, VmOptions, FNPTR_BASE};
-use crate::profile::Feedback;
+use crate::profile::{Countdown, Feedback, StrideTable};
 use crate::value::Value;
 use slo_ir::{BinOp, CmpOp, FuncId, Instr, Operand, Program, Reg, ScalarKind, Type};
-use std::collections::HashMap;
-
-/// Sentinel meaning "this memory site has not been executed yet" in the
-/// last-address side table. Real data addresses never take this value:
-/// the heap hands out low addresses and function pointers live at
-/// `FNPTR_BASE + index`.
-const NO_ADDR: u64 = u64::MAX;
 
 /// External/libc call semantics, resolved from the function name once
 /// at decode time (the structured engine string-matches per call).
@@ -726,15 +719,13 @@ struct DecVm<'p> {
     feedback: Feedback,
     global_addr: Vec<u64>,
     stats: ExecStats,
-    access_counter: u64,
+    sampler: Countdown,
     // Dense profile side tables, indexed [func][site]. Allocated only
     // when the corresponding collection flag is on.
-    mem_last: Vec<Vec<u64>>,
-    stride_hist: Vec<Vec<HashMap<i64, u64>>>,
+    strides: Vec<Vec<StrideTable>>,
     samples: Vec<Vec<SampleAcc>>,
     edge_counts: Vec<Vec<u64>>,
     entry_counts: Vec<u64>,
-    last_instr: Option<(FuncId, (u32, u32))>,
     frame_pool: Vec<Vec<Value>>,
 }
 
@@ -756,16 +747,13 @@ impl<'p> DecVm<'p> {
         }
         let cache = CacheSim::new(opts.cache.clone());
         let feedback = Feedback::new(opts.sample_period);
+        let sampler = Countdown::new(opts.sample_period);
         let nfuncs = dec.funcs.len();
-        let (mem_last, stride_hist, samples) = if opts.sample_dcache {
+        let (strides, samples) = if opts.sample_dcache {
             (
                 dec.funcs
                     .iter()
-                    .map(|f| vec![NO_ADDR; f.mem_site_src.len()])
-                    .collect(),
-                dec.funcs
-                    .iter()
-                    .map(|f| vec![HashMap::new(); f.mem_site_src.len()])
+                    .map(|f| vec![StrideTable::default(); f.mem_site_src.len()])
                     .collect(),
                 dec.funcs
                     .iter()
@@ -773,7 +761,7 @@ impl<'p> DecVm<'p> {
                     .collect(),
             )
         } else {
-            (Vec::new(), Vec::new(), Vec::new())
+            (Vec::new(), Vec::new())
         };
         let edge_counts = if opts.collect_edges {
             dec.funcs
@@ -792,13 +780,11 @@ impl<'p> DecVm<'p> {
             feedback,
             global_addr,
             stats: ExecStats::default(),
-            access_counter: 0,
-            mem_last,
-            stride_hist,
+            sampler,
+            strides,
             samples,
             edge_counts,
             entry_counts: vec![0; nfuncs],
-            last_instr: None,
             frame_pool: Vec::new(),
         }
     }
@@ -840,21 +826,13 @@ impl<'p> DecVm<'p> {
                         s.total_latency += acc.total_latency;
                     }
                 }
-                for (site, hist) in self.stride_hist[fi].iter().enumerate() {
-                    let total: u64 = hist.values().sum();
-                    let Some((&dominant, &hits)) =
-                        hist.iter().max_by_key(|(&d, &c)| (c, std::cmp::Reverse(d)))
-                    else {
-                        continue;
-                    };
-                    self.feedback.func_mut(&f.name).strides.insert(
-                        df.mem_site_src[site],
-                        crate::profile::StrideInfo {
-                            dominant,
-                            hits,
-                            samples: total,
-                        },
-                    );
+                for (site, table) in self.strides[fi].iter().enumerate() {
+                    if let Some(st) = table.dominant() {
+                        self.feedback
+                            .func_mut(&f.name)
+                            .strides
+                            .insert(df.mem_site_src[site], st);
+                    }
                 }
             }
         }
@@ -865,18 +843,9 @@ impl<'p> DecVm<'p> {
     #[inline]
     fn mem_access(&mut self, fid: FuncId, site: u32, addr: u64, fp: bool, is_store: bool) -> u64 {
         let r = self.cache.access(addr, fp);
-        self.access_counter += 1;
         if self.opts.sample_dcache {
-            let last = &mut self.mem_last[fid.index()][site as usize];
-            let prev = std::mem::replace(last, addr);
-            if prev != NO_ADDR {
-                let delta = addr.wrapping_sub(prev) as i64;
-                let hist = &mut self.stride_hist[fid.index()][site as usize];
-                if hist.len() < 32 || hist.contains_key(&delta) {
-                    *hist.entry(delta).or_insert(0) += 1;
-                }
-            }
-            if self.access_counter.is_multiple_of(self.opts.sample_period) {
+            self.strides[fid.index()][site as usize].observe(addr);
+            if self.sampler.tick() {
                 let s = &mut self.samples[fid.index()][site as usize];
                 s.samples += 1;
                 if r.first_level_miss {
@@ -955,22 +924,29 @@ impl<'p> DecVm<'p> {
     }
 
     fn call(&mut self, entry: FuncId, args: &[Value]) -> Result<Value, ExecError> {
-        self.call_inner(entry, args).map_err(|e| match e {
-            ExecError::Mem(err) => match self.last_instr.take() {
-                Some((fid, at)) => ExecError::MemAt {
+        let mut stack: Vec<DFrame> = Vec::new();
+        self.exec(&mut stack, entry, args)
+            .map_err(|e| match (e, stack.last()) {
+                // Fault attribution costs nothing until a fault: only the
+                // memory ops raise `Mem`, and they fail before touching
+                // the stack, so the top frame has just stepped past the
+                // faulting instruction.
+                (ExecError::Mem(err), Some(f)) => ExecError::MemAt {
                     err,
-                    func: self.prog.func(fid).name.clone(),
-                    at,
+                    func: self.prog.func(f.fid).name.clone(),
+                    at: self.dec.funcs[f.fid.index()].src[f.pc as usize - 1],
                 },
-                None => ExecError::Mem(err),
-            },
-            other => other,
-        })
+                (other, _) => other,
+            })
     }
 
-    fn call_inner(&mut self, entry: FuncId, args: &[Value]) -> Result<Value, ExecError> {
-        let mut stack: Vec<DFrame> = Vec::new();
-        self.push_frame(&mut stack, entry, args, None)?;
+    fn exec(
+        &mut self,
+        stack: &mut Vec<DFrame>,
+        entry: FuncId,
+        args: &[Value],
+    ) -> Result<Value, ExecError> {
+        self.push_frame(stack, entry, args, None)?;
         let mut last_ret = Value::Int(0);
         // Copy the reference out of `self` so instruction borrows don't
         // pin `self` for the duration of the loop.
@@ -1065,7 +1041,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1081,7 +1056,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1092,7 +1066,6 @@ impl<'p> DecVm<'p> {
                     DInstr::LoadPtr { dst, addr, site } => {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let raw = self.heap.read_bytes(a, 8)?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, false);
                         frame.regs[*dst as usize] = Value::Ptr(raw);
@@ -1106,7 +1079,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         let v = operand(&frame.regs, *value);
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Int(v.as_int()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
@@ -1120,7 +1092,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         let v = operand(&frame.regs, *value);
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Float(v.as_float()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, true, true);
@@ -1129,7 +1100,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *addr).as_ptr();
                         let v = operand(&frame.regs, *value);
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.write_bytes(a, 8, v.as_ptr())?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
                     }
@@ -1141,7 +1111,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = self.global_addr[*global as usize];
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1157,7 +1126,6 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = self.global_addr[*global as usize];
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let v = match self.heap.read_scalar(a, *kind)? {
                             ScalarValue::Int(i) => Value::Int(i),
                             ScalarValue::Float(f) => Value::Float(f),
@@ -1168,7 +1136,6 @@ impl<'p> DecVm<'p> {
                     DInstr::GLoadPtr { dst, global, site } => {
                         let a = self.global_addr[*global as usize];
                         self.stats.loads += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let raw = self.heap.read_bytes(a, 8)?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, false);
                         frame.regs[*dst as usize] = Value::Ptr(raw);
@@ -1182,7 +1149,6 @@ impl<'p> DecVm<'p> {
                         let v = operand(&frame.regs, *value);
                         let a = self.global_addr[*global as usize];
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Int(v.as_int()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
@@ -1196,7 +1162,6 @@ impl<'p> DecVm<'p> {
                         let v = operand(&frame.regs, *value);
                         let a = self.global_addr[*global as usize];
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap
                             .write_scalar(a, *kind, ScalarValue::Float(v.as_float()))?;
                         self.stats.cycles += self.mem_access(fid, *site, a, true, true);
@@ -1209,7 +1174,6 @@ impl<'p> DecVm<'p> {
                         let v = operand(&frame.regs, *value);
                         let a = self.global_addr[*global as usize];
                         self.stats.stores += 1;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.write_bytes(a, 8, v.as_ptr())?;
                         self.stats.cycles += self.mem_access(fid, *site, a, false, true);
                     }
@@ -1236,7 +1200,6 @@ impl<'p> DecVm<'p> {
                     }
                     DInstr::Free { ptr } => {
                         let a = operand(&frame.regs, *ptr).as_ptr();
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.free(a)?;
                         self.stats.cycles += self.opts.cost.free_cost;
                     }
@@ -1249,7 +1212,6 @@ impl<'p> DecVm<'p> {
                         let a = operand(&frame.regs, *ptr).as_ptr();
                         let n = operand(&frame.regs, *count).as_int().max(0) as u64;
                         let bytes = n * elem_size;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         let na = self.heap.realloc(a, bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost + bytes / 16;
                         frame.regs[*dst as usize] = Value::Ptr(na);
@@ -1263,7 +1225,6 @@ impl<'p> DecVm<'p> {
                         let d = operand(&frame.regs, *dst).as_ptr();
                         let s = operand(&frame.regs, *src).as_ptr();
                         let n = operand(&frame.regs, *bytes).as_int().max(0) as u64;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.memcpy(d, s, n)?;
                         self.stats.cycles += self.stream_cost(fid, *site, d, s, n, true);
                     }
@@ -1276,7 +1237,6 @@ impl<'p> DecVm<'p> {
                         let d = operand(&frame.regs, *dst).as_ptr();
                         let v = operand(&frame.regs, *val).as_int() as u8;
                         let n = operand(&frame.regs, *bytes).as_int().max(0) as u64;
-                        self.last_instr = Some((fid, src_at(dec, fid, frame.pc - 1)));
                         self.heap.memset(d, v, n)?;
                         self.stats.cycles += self.stream_cost(fid, *site, d, d, n, false);
                     }
@@ -1292,7 +1252,7 @@ impl<'p> DecVm<'p> {
                         self.record_edge(fid, *edge_site);
                         let dst = *dst;
                         let callee = FuncId(*callee);
-                        self.push_frame(&mut stack, callee, &argv, dst)?;
+                        self.push_frame(stack, callee, &argv, dst)?;
                         continue 'outer;
                     }
                     DInstr::CallExtern { dst, func, args } => {
@@ -1318,7 +1278,7 @@ impl<'p> DecVm<'p> {
                         if dec.funcs[callee.index()].defined {
                             self.stats.cycles += self.opts.cost.call_overhead;
                             let dst = *dst;
-                            self.push_frame(&mut stack, callee, &argv, dst)?;
+                            self.push_frame(stack, callee, &argv, dst)?;
                             continue 'outer;
                         } else {
                             let r = dec.extern_fns[callee.index()].call(&argv);
@@ -1382,11 +1342,4 @@ impl<'p> DecVm<'p> {
 
         Ok(last_ret)
     }
-}
-
-/// The `(block, index)` source position of the decoded instruction at
-/// `pc` (for memory-fault attribution).
-#[inline]
-fn src_at(dec: &DecodedProgram, fid: FuncId, pc: u32) -> (u32, u32) {
-    dec.funcs[fid.index()].src[pc as usize]
 }

@@ -156,36 +156,37 @@ impl Heap {
         if addr == 0 {
             return Err(MemError::NullDeref);
         }
-        if addr < BASE.min(0x100) || (addr + size) as usize > self.mem.len() {
+        let in_bounds = addr
+            .checked_add(size)
+            .is_some_and(|end| end <= self.mem.len() as u64);
+        if addr < BASE.min(0x100) || !in_bounds {
             return Err(MemError::OutOfBounds { addr, size });
         }
         Ok(())
     }
 
-    /// Read `size` bytes little-endian as an unsigned integer.
+    /// Read `size` bytes (at most 8) little-endian as an unsigned integer.
     ///
     /// # Errors
     ///
     /// Fails on null or out-of-bounds access.
     pub fn read_bytes(&self, addr: u64, size: u64) -> Result<u64, MemError> {
         self.check(addr, size)?;
-        let mut v = 0u64;
-        for i in 0..size {
-            v |= (self.mem[(addr + i) as usize] as u64) << (8 * i);
-        }
-        Ok(v)
+        let (a, n) = (addr as usize, size as usize);
+        let mut word = [0u8; 8];
+        word[..n].copy_from_slice(&self.mem[a..a + n]);
+        Ok(u64::from_le_bytes(word))
     }
 
-    /// Write the low `size` bytes of `v` little-endian.
+    /// Write the low `size` bytes (at most 8) of `v` little-endian.
     ///
     /// # Errors
     ///
     /// Fails on null or out-of-bounds access.
     pub fn write_bytes(&mut self, addr: u64, size: u64, v: u64) -> Result<(), MemError> {
         self.check(addr, size)?;
-        for i in 0..size {
-            self.mem[(addr + i) as usize] = (v >> (8 * i)) as u8;
-        }
+        let (a, n) = (addr as usize, size as usize);
+        self.mem[a..a + n].copy_from_slice(&v.to_le_bytes()[..n]);
         Ok(())
     }
 
@@ -347,11 +348,25 @@ mod tests {
     fn oob_detected() {
         let mut h = Heap::new();
         let a = h.alloc(8);
-        let far = a + 1 << 30;
+        let far = (a + 1) << 30;
         assert!(matches!(
             h.read_bytes(far, 8),
             Err(MemError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn wild_pointer_near_top_of_address_space_is_out_of_bounds() {
+        let mut h = Heap::new();
+        h.alloc(64);
+        let wild = u64::MAX - 3;
+        let oob = Err(MemError::OutOfBounds {
+            addr: wild,
+            size: 8,
+        });
+        assert_eq!(h.read_bytes(wild, 8), oob);
+        assert_eq!(h.write_bytes(wild, 8, 1).map(|_| 0), oob);
+        assert!(h.memset(wild, 0, 8).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::cache::{CacheConfig, CacheSim, CacheStats};
 use crate::cost::CostModel;
 use crate::heap::{Heap, MemError, ScalarValue};
-use crate::profile::Feedback;
+use crate::profile::{Countdown, Feedback, StrideTable};
 use crate::value::Value;
 use slo_ir::{BlockId, FuncId, FuncKind, Instr, InstrRef, Operand, Program, Reg, ScalarKind, Type};
 use std::fmt;
@@ -372,11 +372,9 @@ struct Vm<'p> {
     feedback: Feedback,
     global_addr: Vec<u64>,
     stats: ExecStats,
-    access_counter: u64,
-    /// last observed address per instruction (stride collection).
-    last_addr: std::collections::HashMap<InstrRef, u64>,
-    /// per-instruction stride histograms (delta -> count).
-    stride_hist: std::collections::HashMap<InstrRef, std::collections::HashMap<i64, u64>>,
+    sampler: Countdown,
+    /// per-instruction stride histograms (stride collection).
+    strides: std::collections::HashMap<InstrRef, StrideTable>,
     /// function + (block, index) of the instruction being executed
     /// (for memory-fault diagnostics).
     last_instr: Option<(FuncId, (u32, u32))>,
@@ -394,6 +392,7 @@ impl<'p> Vm<'p> {
         }
         let cache = CacheSim::new(opts.cache.clone());
         let feedback = Feedback::new(opts.sample_period);
+        let sampler = Countdown::new(opts.sample_period);
         Vm {
             prog,
             opts,
@@ -402,9 +401,8 @@ impl<'p> Vm<'p> {
             feedback,
             global_addr,
             stats: ExecStats::default(),
-            access_counter: 0,
-            last_addr: std::collections::HashMap::new(),
-            stride_hist: std::collections::HashMap::new(),
+            sampler,
+            strides: std::collections::HashMap::new(),
             last_instr: None,
             frame_pool: Vec::new(),
         }
@@ -415,25 +413,16 @@ impl<'p> Vm<'p> {
         self.stats.allocated_bytes = self.heap.total_allocated();
         self.stats.peak_live_bytes = self.heap.peak_live();
         self.stats.leaked_bytes = self.heap.live_bytes();
-        // fold the stride histograms into the feedback file; ties on
-        // the count break toward the smallest delta so both engines
-        // (and repeated runs) report the same dominant stride
-        for (at, hist) in &self.stride_hist {
-            let total: u64 = hist.values().sum();
-            let Some((&dominant, &hits)) =
-                hist.iter().max_by_key(|(&d, &c)| (c, std::cmp::Reverse(d)))
-            else {
+        // fold the stride histograms into the feedback file
+        for (at, table) in &self.strides {
+            let Some(st) = table.dominant() else {
                 continue;
             };
             let name = &self.prog.func(at.func).name;
-            self.feedback.func_mut(name).strides.insert(
-                (at.block.0, at.index),
-                crate::profile::StrideInfo {
-                    dominant,
-                    hits,
-                    samples: total,
-                },
-            );
+            self.feedback
+                .func_mut(name)
+                .strides
+                .insert((at.block.0, at.index), st);
         }
         (self.stats, self.feedback)
     }
@@ -455,20 +444,13 @@ impl<'p> Vm<'p> {
     /// Simulate a data access; returns added latency cycles for loads.
     fn mem_access(&mut self, at: InstrRef, addr: u64, fp: bool, is_store: bool) -> u64 {
         let r = self.cache.access(addr, fp);
-        self.access_counter += 1;
         if self.opts.sample_dcache {
             // stride collection: delta between consecutive executions of
             // the same instruction (kept for every access — strides need
             // consecutive pairs, unlike the subsampled event counts)
-            if let Some(prev) = self.last_addr.insert(at, addr) {
-                let delta = addr.wrapping_sub(prev) as i64;
-                let hist = self.stride_hist.entry(at).or_default();
-                if hist.len() < 32 || hist.contains_key(&delta) {
-                    *hist.entry(delta).or_insert(0) += 1;
-                }
-            }
+            self.strides.entry(at).or_default().observe(addr);
         }
-        if self.opts.sample_dcache && self.access_counter.is_multiple_of(self.opts.sample_period) {
+        if self.opts.sample_dcache && self.sampler.tick() {
             let name = &self.prog.func(at.func).name;
             let s = self
                 .feedback
@@ -1355,6 +1337,30 @@ bb0:
                 ..
             }) => assert_eq!(func, "main"),
             other => panic!("expected null deref, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wild_store_near_top_of_address_space_is_attributed_on_both_engines() {
+        // -4 is the pointer u64::MAX - 3: an 8-byte store there runs off
+        // the end of the address space and must fault, not overflow
+        let src = "func main() -> i64 {\nbb0:\n  r0 = cast -4 : i64 -> ptr<i64>\n  \
+                   store 7, r0 : i64\n  ret 0\n}\n";
+        let p = parse(src).expect("parse");
+        for opts in [VmOptions::default(), VmOptions::default().structured()] {
+            assert_eq!(
+                run(&p, &opts).map(|o| o.exit),
+                Err(ExecError::MemAt {
+                    err: MemError::OutOfBounds {
+                        addr: u64::MAX - 3,
+                        size: 8,
+                    },
+                    func: "main".to_string(),
+                    at: (0, 1),
+                }),
+                "engine {:?}",
+                opts.engine
+            );
         }
     }
 

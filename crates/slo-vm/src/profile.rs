@@ -68,6 +68,81 @@ impl StrideInfo {
     }
 }
 
+/// Distinct deltas a [`StrideTable`] counts per site.
+const STRIDE_SLOTS: usize = 32;
+
+/// Collection-side stride histogram for one load/store site, shared by
+/// both VM engines: the site's last address plus at most
+/// [`STRIDE_SLOTS`] `(delta, count)` entries, searched linearly. A delta
+/// is counted if it is already present or a slot is free; later new
+/// deltas are ignored.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StrideTable {
+    last: Option<u64>,
+    entries: Vec<(i64, u64)>,
+}
+
+impl StrideTable {
+    /// Record one execution of the site at `addr`.
+    #[inline]
+    pub(crate) fn observe(&mut self, addr: u64) {
+        let Some(prev) = self.last.replace(addr) else {
+            return;
+        };
+        let delta = addr.wrapping_sub(prev) as i64;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == delta) {
+            e.1 += 1;
+        } else if self.entries.len() < STRIDE_SLOTS {
+            self.entries.push((delta, 1));
+        }
+    }
+
+    /// The most frequent delta, ties broken toward the smallest so the
+    /// result does not depend on the order deltas were first seen.
+    /// `None` if no delta was counted.
+    pub(crate) fn dominant(&self) -> Option<StrideInfo> {
+        let &(dominant, hits) = self
+            .entries
+            .iter()
+            .max_by_key(|&&(d, c)| (c, std::cmp::Reverse(d)))?;
+        Some(StrideInfo {
+            dominant,
+            hits,
+            samples: self.entries.iter().map(|e| e.1).sum(),
+        })
+    }
+}
+
+/// The PMU sampling trigger: fires on every `period`-th memory access
+/// by counting down (no per-access division), never when `period` is 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Countdown {
+    left: u64,
+    period: u64,
+}
+
+impl Countdown {
+    pub(crate) fn new(period: u64) -> Self {
+        Countdown {
+            left: period,
+            period,
+        }
+    }
+
+    /// Count one access; true if it is sampled.
+    #[inline]
+    pub(crate) fn tick(&mut self) -> bool {
+        if self.left > 1 {
+            self.left -= 1;
+            return false;
+        }
+        // 1: sample this access and reload; 0: period 0, never samples
+        let fire = self.left == 1;
+        self.left = self.period;
+        fire
+    }
+}
+
 /// Profile data for one function.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FuncProfile {
@@ -352,6 +427,51 @@ mod tests {
         };
         assert!((st.confidence() - 0.8).abs() < 1e-12);
         assert_eq!(StrideInfo::default().confidence(), 0.0);
+    }
+
+    #[test]
+    fn stride_table_bounds_distinct_deltas_and_breaks_ties_low() {
+        let mut t = StrideTable::default();
+        assert_eq!(t.dominant(), None);
+        // deltas 1..=32 once each fill every slot...
+        let mut addr = 1_000u64;
+        t.observe(addr);
+        for d in 1..=32u64 {
+            addr += d;
+            t.observe(addr);
+        }
+        // ...so a 33rd distinct delta is ignored, even when repeated
+        for _ in 0..5 {
+            addr += 1_000;
+            t.observe(addr);
+        }
+        let st = t.dominant().expect("counted deltas");
+        assert_eq!(st.samples, 32, "the 33rd delta must not be counted");
+        // all tied at one hit: the smallest delta wins
+        assert_eq!((st.dominant, st.hits), (1, 1));
+        // a tracked delta keeps counting after the table is full
+        addr += 7;
+        t.observe(addr);
+        let st = t.dominant().expect("counted deltas");
+        assert_eq!((st.dominant, st.hits, st.samples), (7, 2, 33));
+        // negative deltas order below positive ones on a tie
+        let mut t = StrideTable::default();
+        for a in [100u64, 108, 100] {
+            t.observe(a);
+        }
+        let st = t.dominant().expect("counted deltas");
+        assert_eq!((st.dominant, st.hits, st.samples), (-8, 1, 2));
+    }
+
+    #[test]
+    fn countdown_fires_every_period_and_never_at_zero() {
+        let fired = |period: u64, n: usize| {
+            let mut c = Countdown::new(period);
+            (1..=n).filter(|_| c.tick()).collect::<Vec<_>>()
+        };
+        assert_eq!(fired(1, 4), vec![1, 2, 3, 4]);
+        assert_eq!(fired(3, 10), vec![3, 6, 9]);
+        assert!(fired(0, 1_000).is_empty());
     }
 
     #[test]
