@@ -32,6 +32,7 @@
 //! ```
 
 use bench::report::{json_flag, record_batch, record_store, BatchStats, StoreStats};
+use slo_obs::json::parse_json;
 use slo_service::{
     AnalysisStore, Budget, ChaosConfig, Degradation, Fault, FaultPlan, Job, JobOutcome, JobStatus,
     SchemeSpec, Service, ServiceConfig, Site,
@@ -135,16 +136,15 @@ fn slo_bin() -> std::path::PathBuf {
         .join(format!("slo{}", std::env::consts::EXE_SUFFIX))
 }
 
-/// Extract `"key": N` from the CLI's flat metrics JSON line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .ok()
+/// The counter `key` of the metrics JSON line that ends a `slo batch
+/// --json` run's stdout (0 if absent).
+fn metric(stdout: &str, key: &str) -> u64 {
+    let line = stdout
+        .lines()
+        .rev()
+        .find(|l| l.trim_start().starts_with('{'));
+    let doc = line.and_then(|l| parse_json(l).ok());
+    doc.and_then(|d| d.get(key)?.as_u64()).unwrap_or(0)
 }
 
 /// The per-job result lines of a `slo batch` run, with the `[cached]`
@@ -259,19 +259,11 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, compact: bool, json:
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     let complete = run_batch();
-    let metrics_line = |s: &str| {
-        s.lines()
-            .rev()
-            .find(|l| l.trim_start().starts_with('{'))
-            .map(str::to_string)
-            .unwrap_or_default()
-    };
-    let complete_m = metrics_line(&complete);
-    let survivors = json_u64(&complete_m, "store_hits").unwrap_or(0);
+    let survivors = metric(&complete, "store_hits");
     println!(
         "kill-restart: completing batch found {survivors} analysis record(s) \
          survived the kill ({} corrupt dropped)",
-        json_u64(&complete_m, "store_corrupt_drops").unwrap_or(0)
+        metric(&complete, "store_corrupt_drops")
     );
     if answered > 0 && survivors == 0 {
         println!("FAIL: answered jobs must leave replayable store records");
@@ -281,11 +273,7 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, compact: bool, json:
     // Phase C: the warm-start measurement — a cold process over the
     // now-complete store must serve (nearly) everything from disk.
     let warm = run_batch();
-    let warm_m = metrics_line(&warm);
-    let (hits, misses) = (
-        json_u64(&warm_m, "store_hits").unwrap_or(0),
-        json_u64(&warm_m, "store_misses").unwrap_or(0),
-    );
+    let (hits, misses) = (metric(&warm, "store_hits"), metric(&warm, "store_misses"));
     let warm_hit_rate = if hits + misses == 0 {
         0.0
     } else {
@@ -314,8 +302,8 @@ fn kill_restart_campaign(num_jobs: usize, rot_seeds: usize, compact: bool, json:
     } else {
         println!("ok: disk-served outcomes bit-identical to computed");
     }
-    let corrupt_drops = json_u64(&complete_m, "store_corrupt_drops").unwrap_or(0)
-        + json_u64(&warm_m, "store_corrupt_drops").unwrap_or(0);
+    let corrupt_drops =
+        metric(&complete, "store_corrupt_drops") + metric(&warm, "store_corrupt_drops");
 
     // Bit-rot sweep: seeded in-process campaigns that rot records as
     // they are written, then reread them cold. Rot may cost recomputes

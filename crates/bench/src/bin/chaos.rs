@@ -239,7 +239,6 @@ fn net_campaign(seeds: usize, seed_start: u64, json: bool) -> usize {
             per_client_inflight: 8,
             read_timeout_ms: 50,
             retry_after_ms: 5,
-            legacy: false,
         })
         .expect("bind");
         let addr = server.local_addr().expect("local addr");

@@ -134,7 +134,6 @@ fn main() {
         per_client_inflight: if force_overload { 1 } else { clients.max(1) },
         read_timeout_ms: 10_000,
         retry_after_ms: 2,
-        legacy: false,
     })
     .expect("bind");
     let addr = server.local_addr().expect("local addr");

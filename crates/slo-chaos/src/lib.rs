@@ -318,19 +318,6 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a over arbitrary bytes — the workspace's stable content hash
-/// (same constants as `slo-ir`'s fingerprinting), exposed here so the
-/// journal and the retry schedule can derive per-job seeds without a
-/// dependency on the IR crate.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,12 +411,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), NUM_SITES);
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vector() {
-        // FNV-1a("a") from the published reference constants.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

@@ -57,9 +57,8 @@ commands:
                                          --store persists analyses in a
                                          crash-safe segment store)
   serve [--workers N] [--cache N] [--journal FILE] [--store DIR] [--chaos-seed N]
-        [--legacy-lines] [--listen ADDR] [--net-inflight N] [--net-queue N]
-        [--net-clients N] [--net-per-client N] [--net-read-timeout-ms N]
-        [--net-retry-after-ms N]
+        [--listen ADDR] [--net-inflight N] [--net-queue N] [--net-clients N]
+        [--net-per-client N] [--net-read-timeout-ms N] [--net-retry-after-ms N]
                                          serve the v1 wire protocol: job
                                          lines in, one JSON reply per job
                                          (`metrics` dumps JSON, `metrics
@@ -72,8 +71,7 @@ commands:
                                          warm-start from disk; --listen
                                          serves TCP with
                                          bounded admission + load shedding
-                                         instead of stdin; --legacy-lines
-                                         keeps the pre-protocol replies
+                                         instead of stdin
   trace-check <trace.json>               validate a Chrome trace against
                                          the golden schema
   help                                   this text
@@ -573,7 +571,7 @@ fn cmd_batch(args: &[String]) -> Result<String> {
     let mut s = String::new();
     for o in &outcomes {
         // `--wire` answers in the same v1 JSON protocol as serve; the
-        // default stays the human-readable legacy line.
+        // default is the human-readable result line.
         if opts.has("wire") {
             let _ = writeln!(s, "{}", slo_service::Response::from_outcome(o).to_json());
         } else {
@@ -619,7 +617,6 @@ fn cmd_serve(args: &[String]) -> Result<String> {
     let opts = parse_opts(args);
     let workers = flag_count(&opts, "workers", 0)?;
     let cache = flag_count(&opts, "cache", 256)?;
-    let legacy = opts.has("legacy-lines");
     let chaos = chaos_flag(&opts)?;
     let mut service = Service::with_chaos(
         ServiceConfig::builder()
@@ -650,11 +647,11 @@ fn cmd_serve(args: &[String]) -> Result<String> {
     let dir = std::env::current_dir().map_err(|e| SloError::Io(format!("current dir: {e}")))?;
 
     if opts.has("listen") {
-        return serve_listen(&opts, &service, journal.as_ref(), dir, legacy);
+        return serve_listen(&opts, &service, journal.as_ref(), dir);
     }
 
     // stdin front end: the same protocol Session the TCP ingress uses.
-    let session = Session::new(&service, journal.as_ref(), dir, legacy);
+    let session = Session::new(&service, journal.as_ref(), dir);
     let stdin = std::io::stdin();
     let mut line = String::new();
     loop {
@@ -698,7 +695,6 @@ fn serve_listen(
     service: &Service,
     journal: Option<&Mutex<Journal>>,
     dir: std::path::PathBuf,
-    legacy: bool,
 ) -> Result<String> {
     let addr = opts
         .value("listen")
@@ -712,7 +708,6 @@ fn serve_listen(
         per_client_inflight: flag_count(opts, "net-per-client", 8)?,
         read_timeout_ms: flag_count(opts, "net-read-timeout-ms", 5_000)? as u64,
         retry_after_ms: flag_count(opts, "net-retry-after-ms", 50)? as u64,
-        legacy,
     };
     let server = NetServer::bind(cfg).map_err(|e| SloError::Io(format!("bind `{addr}`: {e}")))?;
     let local = server

@@ -249,45 +249,6 @@ fn serve_survives_malformed_manifest_lines_mid_stream() {
     );
 }
 
-/// `--legacy-lines` keeps the pre-protocol human-readable replies for
-/// scripts that scraped them: `error: ` prefixes and the `[cached]`
-/// suffix, no JSON.
-#[test]
-fn serve_legacy_lines_keeps_the_old_format() {
-    use std::io::Write as _;
-    let mut child = slo()
-        .args(["serve", "--legacy-lines"])
-        .current_dir(smoke_manifest().parent().expect("dir"))
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn slo serve");
-    child
-        .stdin
-        .as_mut()
-        .expect("stdin")
-        .write_all(
-            b"../ir/hotcold.sir scheme=ispbo\n\
-              ../ir/hotcold.sir scheme=bogus-scheme\n\
-              ../ir/hotcold.sir scheme=ispbo\n\
-              quit\n",
-        )
-        .expect("write jobs");
-    let out = child.wait_with_output().expect("wait");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        text.lines().filter(|l| l.starts_with("error: ")).count(),
-        1,
-        "legacy error prefix:\n{text}"
-    );
-    assert!(text.contains("[cached]"), "legacy cache suffix:\n{text}");
-    assert!(
-        !text.contains("\"status\""),
-        "no JSON in legacy mode:\n{text}"
-    );
-}
-
 /// `--trace-json` writes a Chrome trace that the binary's own
 /// conformance checker accepts, with every pipeline phase present —
 /// and tracing does not change the compiled output.

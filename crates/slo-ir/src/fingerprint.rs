@@ -58,6 +58,14 @@ impl Fnv64 {
     pub fn digest(&self) -> u64 {
         self.0
     }
+
+    /// FNV-1a of a bare byte string (no length prefix): the one-shot
+    /// form behind store checksums, journal checksums and WAL keys.
+    pub fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut h = Fnv64::new();
+        h.write(bytes);
+        h.digest()
+    }
 }
 
 impl Hasher for Fnv64 {
@@ -113,13 +121,14 @@ mod tests {
 
     #[test]
     fn known_vectors() {
-        // FNV-1a test vectors (bare byte stream, no length prefix).
+        // FNV-1a test vectors (bare byte stream, no length prefix),
+        // from the published reference constants. Store segment
+        // checksums and journal keys depend on these exact bits.
+        assert_eq!(Fnv64::hash_bytes(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv64::hash_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
         let mut h = Fnv64::new();
-        std::hash::Hasher::write(&mut h, b"");
-        assert_eq!(h.digest(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv64::new();
-        std::hash::Hasher::write(&mut h, b"a");
-        assert_eq!(h.digest(), 0xaf63_dc4c_8601_ec8c);
+        h.write(b"a");
+        assert_eq!(h.digest(), Fnv64::hash_bytes(b"a"));
     }
 
     #[test]

@@ -6,85 +6,41 @@
 //! [`crate::conform::check_chrome_trace`]: `name`, `cat`, `ph`, `ts`,
 //! `dur`, `pid`, `tid`, `args`.
 
+use crate::json::JsonValue;
 use crate::{ArgValue, TraceEvent};
-use std::fmt::Write;
 
 /// Serialize events (plus a dropped-event count) to Chrome trace JSON.
 pub fn to_chrome_json(events: &[TraceEvent], dropped: u64) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_event(&mut out, ev);
-    }
-    let _ = write!(
-        out,
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped\":{dropped}}}}}"
-    );
-    out
-}
-
-fn write_event(out: &mut String, ev: &TraceEvent) {
-    out.push_str("{\"name\":");
-    write_json_string(out, &ev.name);
-    out.push_str(",\"cat\":");
-    write_json_string(out, ev.cat);
-    let _ = write!(
-        out,
-        ",\"ph\":\"{}\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{",
-        ev.kind.ph(),
-        ev.ts_us,
-        ev.dur_us,
-        ev.tid
-    );
-    for (i, (k, v)) in ev.args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(out, k);
-        out.push(':');
-        write_arg(out, v);
-    }
-    out.push_str("}}");
-}
-
-fn write_arg(out: &mut String, v: &ArgValue) {
-    match v {
-        ArgValue::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        ArgValue::Float(f) => {
-            if f.is_finite() {
-                let _ = write!(out, "{f}");
-            } else {
-                // JSON has no NaN/Inf; null keeps the document valid.
-                out.push_str("null");
-            }
-        }
-        ArgValue::Str(s) => write_json_string(out, s),
-        ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let events = events.iter().map(|ev| {
+        let args = ev.args.iter().map(|(k, v)| {
+            let v = match v {
+                ArgValue::Int(i) => (*i).into(),
+                ArgValue::Float(f) => (*f).into(),
+                ArgValue::Str(s) => s.as_str().into(),
+                ArgValue::Bool(b) => (*b).into(),
+            };
+            (*k, v)
+        });
+        JsonValue::object([
+            ("name", ev.name.as_str().into()),
+            ("cat", ev.cat.into()),
+            ("ph", ev.kind.ph().to_string().into()),
+            ("ts", ev.ts_us.into()),
+            ("dur", ev.dur_us.into()),
+            ("pid", 1u64.into()),
+            ("tid", ev.tid.into()),
+            ("args", JsonValue::object(args)),
+        ])
+    });
+    JsonValue::object([
+        ("traceEvents", JsonValue::Arr(events.collect())),
+        ("displayTimeUnit", "ms".into()),
+        (
+            "otherData",
+            JsonValue::object([("dropped", dropped.into())]),
+        ),
+    ])
+    .to_json()
 }
 
 #[cfg(test)]

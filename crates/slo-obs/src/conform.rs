@@ -10,254 +10,10 @@
 //! * [`check_prometheus`] — line-by-line validation of the Prometheus
 //!   text exposition format emitted by `slo serve`'s `metrics prom`.
 //!
-//! The module carries its own minimal JSON parser: `slo-obs` sits at
-//! the bottom of the dependency graph (everything depends on it), so it
-//! cannot borrow the `bench` crate's hand-rolled JSON support.
+//! Both parse through the crate's one JSON codec, [`crate::json`]; its
+//! value type and parser are re-exported here for existing callers.
 
-use std::collections::HashMap;
-
-/// A parsed JSON value (subset sufficient for trace documents).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object (insertion order is not preserved; conformance checks
-    /// are key-lookup only).
-    Obj(HashMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset and message.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(format!("unexpected byte '{}' at {}", b as char, self.pos)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("invalid number '{s}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not produced by our
-                            // serializer; map them to the replacement
-                            // char rather than rejecting the document.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = HashMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut arr = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(arr));
-        }
-        loop {
-            self.skip_ws();
-            arr.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(arr));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-}
+pub use crate::json::{parse_json, JsonValue};
 
 /// A summary of a schema-valid Chrome trace.
 #[derive(Debug, Clone, Default)]
@@ -298,17 +54,14 @@ pub fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
         .get("traceEvents")
         .and_then(JsonValue::as_arr)
         .ok_or("missing traceEvents array")?;
+    let dropped = doc
+        .get("otherData")
+        .and_then(|o| o.get("dropped")?.as_u64());
     let mut summary = TraceSummary {
         events: events.len(),
+        dropped: dropped.unwrap_or(0),
         ..TraceSummary::default()
     };
-    if let Some(d) = doc
-        .get("otherData")
-        .and_then(|o| o.get("dropped"))
-        .and_then(JsonValue::as_num)
-    {
-        summary.dropped = d as u64;
-    }
 
     // (tid, ts, end) per complete span, for the nesting check.
     let mut spans: Vec<(u64, u64, u64)> = Vec::new();
@@ -319,39 +72,37 @@ pub fn check_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             .get("name")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| format!("event {i}: missing string 'name'"))?;
-        ev.get("cat")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("event {i} ({name}): missing string 'cat'"))?;
-        let ph = ev
-            .get("ph")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("event {i} ({name}): missing 'ph'"))?;
+        let missing = |what: &str, key: &str| format!("event {i} ({name}): missing {what} '{key}'");
+        let text = |key| {
+            ev.get(key)
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| missing("string", key))
+        };
+        let num = |key| {
+            ev.get(key)
+                .and_then(JsonValue::as_num)
+                .ok_or_else(|| missing("numeric", key))
+        };
+        text("cat")?;
+        let ph = text("ph")?;
         if !matches!(ph, "X" | "i" | "C" | "B" | "E" | "M") {
             return Err(format!("event {i} ({name}): unknown ph '{ph}'"));
         }
-        let ts = ev
-            .get("ts")
-            .and_then(JsonValue::as_num)
-            .ok_or_else(|| format!("event {i} ({name}): missing numeric 'ts'"))?;
-        let dur = ev
-            .get("dur")
-            .and_then(JsonValue::as_num)
-            .ok_or_else(|| format!("event {i} ({name}): missing numeric 'dur'"))?;
+        let (ts, dur) = (num("ts")?, num("dur")?);
         if ts < 0.0 || dur < 0.0 {
             return Err(format!("event {i} ({name}): negative ts/dur"));
         }
-        ev.get("pid")
-            .and_then(JsonValue::as_num)
-            .ok_or_else(|| format!("event {i} ({name}): missing numeric 'pid'"))?;
-        let tid = ev
-            .get("tid")
-            .and_then(JsonValue::as_num)
-            .ok_or_else(|| format!("event {i} ({name}): missing numeric 'tid'"))?;
+        num("pid")?;
+        let tid = num("tid")?;
 
         names.push(name.to_string());
         if ph == "X" {
             summary.spans += 1;
-            spans.push((tid as u64, ts as u64, ts as u64 + dur as u64));
+            spans.push((
+                tid as u64,
+                ts as u64,
+                (ts as u64).saturating_add(dur as u64),
+            ));
         }
     }
 
@@ -570,24 +321,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_parser_handles_nested_documents() {
-        let v =
-            parse_json(r#"{"a":[1,2.5,-3e2],"b":{"c":"x\ny","d":true,"e":null},"f":""}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("f").unwrap().as_str(), Some(""));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,2,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
     fn trace_check_rejects_missing_fields() {
         let bad =
             r#"{"traceEvents":[{"name":"x","cat":"c","ph":"X","ts":0,"pid":1,"tid":1,"args":{}}]}"#;
@@ -617,6 +350,26 @@ mod tests {
         assert_eq!(s.events, 4);
         assert_eq!(s.spans, 3);
         assert!(s.has("inner") && s.has("count"));
+    }
+
+    #[test]
+    fn full_default_capacity_trace_checks_in_linear_time() {
+        // A full recorder is the largest trace `slo trace-check` meets;
+        // a parser that rescans the rest of the document for every
+        // string character needs minutes on it.
+        let r = crate::Recorder::with_capacity(crate::DEFAULT_CAPACITY);
+        for i in 0..crate::DEFAULT_CAPACITY as u64 {
+            let name = format!("job \"{i}\" é");
+            match i % 3 {
+                0 => r.complete("service", name, i * 10, 5, vec![("n", i.into())]),
+                1 => r.instant("service", name, vec![("msg", "a\tb".into())]),
+                _ => r.counter("vm", name, i as f64 / 3.0),
+            }
+        }
+        r.counter("vm", "overflow", 0.0);
+        let s = check_chrome_trace(&r.to_chrome_json()).expect("conformant");
+        assert_eq!(s.events, crate::DEFAULT_CAPACITY);
+        assert_eq!(s.dropped, 1);
     }
 
     #[test]

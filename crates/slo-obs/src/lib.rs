@@ -53,6 +53,7 @@
 
 pub mod chrome;
 pub mod conform;
+pub mod json;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

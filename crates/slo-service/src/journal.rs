@@ -26,6 +26,8 @@
 
 use crate::job::{Job, JobStatus};
 use crate::proto;
+use slo_ir::Fnv64;
+use slo_obs::json::{parse_json, JsonValue};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -134,18 +136,18 @@ impl Journal {
         status: &JobStatus,
         summary: &str,
     ) -> std::io::Result<()> {
-        let body = format!(
-            "{{\"key\":\"{key:016x}\",\"id\":\"{}\",\"status\":\"{}\",\"summary\":\"{}\"",
-            escape(id),
-            status.kind(),
-            escape(summary),
-        );
+        let mut line = JsonValue::object([
+            ("key", format!("{key:016x}").into()),
+            ("id", id.into()),
+            ("status", status.kind().into()),
+            ("summary", summary.into()),
+        ])
+        .to_json();
         // The checksum covers everything before its own field, so a
         // replayer can verify without re-canonicalizing.
-        let line = format!(
-            "{body},\"c\":\"{:016x}\"}}",
-            slo_chaos::fnv1a(body.as_bytes())
-        );
+        line.pop();
+        let sum = Fnv64::hash_bytes(line.as_bytes());
+        line.push_str(&format!(",\"c\":\"{sum:016x}\"}}"));
         self.file.write_all(line.as_bytes())?;
         self.file.write_all(b"\n")?;
         self.file.flush()?;
@@ -160,11 +162,6 @@ impl Journal {
         Ok(())
     }
 }
-
-// JSON escaping and field extraction are shared with the wire protocol
-// (`proto`): the journal stores reply lines, so the two must agree on
-// the encoding anyway.
-use proto::{escape, field_str};
 
 enum Parsed {
     /// A complete, (when checksummed) verified record.
@@ -182,30 +179,33 @@ fn parse_record(line: &str) -> Parsed {
     }
     // A `"c"` field makes the record self-verifying; its absence marks
     // a pre-checksum record, which replays untested (versioning by
-    // presence). `escape` turns every interior quote into `\"`, so an
-    // unescaped `,"c":"` can only be the real field.
+    // presence). The escaper turns every interior quote into `\"`, so
+    // an unescaped `,"c":"` can only be the real field. The raw bytes
+    // are checked before parsing, so damage that also breaks the JSON
+    // still counts as corruption rather than a torn tail.
     if let Some(at) = line.rfind(",\"c\":\"") {
-        let Some(sum) = field_str(line, "c").and_then(|s| u64::from_str_radix(&s, 16).ok()) else {
-            return Parsed::Corrupt;
-        };
-        if slo_chaos::fnv1a(&line.as_bytes()[..at]) != sum {
+        let sum = line[at + 6..]
+            .strip_suffix("\"}")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok());
+        if sum != Some(Fnv64::hash_bytes(&line.as_bytes()[..at])) {
             return Parsed::Corrupt;
         }
     }
-    let fields = (|| {
-        let key = u64::from_str_radix(&field_str(line, "key")?, 16).ok()?;
-        Some((
+    let Ok(doc) = parse_json(line) else {
+        return Parsed::Torn;
+    };
+    let field = |k| doc.get(k).and_then(JsonValue::as_str).map(str::to_string);
+    let key = field("key").and_then(|k| u64::from_str_radix(&k, 16).ok());
+    match (key, field("id"), field("status"), field("summary")) {
+        (Some(key), Some(id), Some(status), Some(summary)) => Parsed::Entry(
             key,
             JournalEntry {
-                id: field_str(line, "id")?,
-                status: field_str(line, "status")?,
-                summary: field_str(line, "summary")?,
+                id,
+                status,
+                summary,
             },
-        ))
-    })();
-    match fields {
-        Some((key, entry)) => Parsed::Entry(key, entry),
-        None => Parsed::Torn,
+        ),
+        _ => Parsed::Torn,
     }
 }
 

@@ -71,8 +71,6 @@ pub struct NetConfig {
     /// Base retry hint for shed replies; the actual hint is
     /// `base * (1 + queue_depth)`.
     pub retry_after_ms: u64,
-    /// Reply in the pre-protocol legacy line format instead of JSON.
-    pub legacy: bool,
 }
 
 impl Default for NetConfig {
@@ -86,7 +84,6 @@ impl Default for NetConfig {
             per_client_inflight: 8,
             read_timeout_ms: 5_000,
             retry_after_ms: 50,
-            legacy: false,
         }
     }
 }
@@ -475,15 +472,10 @@ impl NetServer {
     /// Best-effort busy reply on an over-capacity accept.
     fn write_busy(&self, mut stream: TcpStream) {
         let retry = self.admission.retry_hint(self.admission.depth());
-        let reply = if self.cfg.legacy {
-            format!("error: server busy, retry in {retry} ms\n")
-        } else {
-            let mut r = Response::shed("", retry);
-            r.code = Some("busy".to_string());
-            r.message = Some("connection limit reached".to_string());
-            format!("{}\n", r.to_json())
-        };
-        let _ = stream.write_all(reply.as_bytes());
+        let mut r = Response::shed("", retry);
+        r.code = Some("busy".to_string());
+        r.message = Some("connection limit reached".to_string());
+        let _ = stream.write_all(format!("{}\n", r.to_json()).as_bytes());
     }
 
     /// One connection: newline-framed read loop with the slow-client
@@ -501,7 +493,7 @@ impl NetServer {
         // Short poll so shutdown and the slow-read deadline are
         // honored while the client is idle.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let session = Session::new(service, journal, self.cfg.dir.clone(), self.cfg.legacy);
+        let session = Session::new(service, journal, self.cfg.dir.clone());
         let read_timeout = Duration::from_millis(self.cfg.read_timeout_ms.max(1));
 
         let mut buf: Vec<u8> = Vec::new();
@@ -566,11 +558,7 @@ impl NetServer {
             code: "slow-read",
             message: why.to_string(),
         };
-        let reply = if self.cfg.legacy {
-            format!("error: {why}\n")
-        } else {
-            format!("{}\n", Response::error("", &err).to_json())
-        };
+        let reply = format!("{}\n", Response::error("", &err).to_json());
         let _ = stream.write_all(reply.as_bytes());
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
@@ -612,11 +600,7 @@ impl NetServer {
                         ],
                     );
                     let id = trimmed.split_whitespace().next().unwrap_or("");
-                    let reply = if self.cfg.legacy {
-                        format!("error: overloaded, retry in {retry_after_ms} ms\n")
-                    } else {
-                        format!("{}\n", Response::shed(id, retry_after_ms).to_json())
-                    };
+                    let reply = format!("{}\n", Response::shed(id, retry_after_ms).to_json());
                     return stream.write_all(reply.as_bytes()).is_ok();
                 }
                 Admit::Closed => return false,
@@ -645,7 +629,7 @@ impl NetServer {
             Reply::Lines(lines) => {
                 let mut out = String::new();
                 for l in &lines {
-                    if l.contains("\"status\":\"error\"") || l.starts_with("error: ") {
+                    if l.contains("\"status\":\"error\"") {
                         self.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     }
                     out.push_str(l);

@@ -33,7 +33,8 @@ use crate::job::{Job, JobInput, JobStatus};
 use crate::journal::Journal;
 use crate::manifest::{chaos_line, parse_job_line};
 use crate::service::Service;
-use slo_chaos::fnv1a;
+use slo_ir::Fnv64;
+use slo_obs::json::{parse_json, JsonValue};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -147,10 +148,10 @@ impl Request {
     /// the `.sir` file or the line's attributes always changes the key
     /// and a recovered journal never serves stale results.
     pub fn fingerprint(line: &str, job: &Job) -> u64 {
-        let mut h = fnv1a(line.trim().as_bytes());
-        h ^= fnv1a(job.id.as_bytes()).rotate_left(17);
+        let mut h = Fnv64::hash_bytes(line.trim().as_bytes());
+        h ^= Fnv64::hash_bytes(job.id.as_bytes()).rotate_left(17);
         if let JobInput::Source(src) = &job.input {
-            h ^= fnv1a(src.as_bytes()).rotate_left(31);
+            h ^= Fnv64::hash_bytes(src.as_bytes()).rotate_left(31);
         }
         h
     }
@@ -263,100 +264,101 @@ impl Response {
     /// Serialize as one JSON line (no trailing newline). Field order is
     /// fixed: the seven stable fields first, detail after.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"v\":{},\"id\":\"{}\",\"status\":\"{}\",",
-            self.v,
-            escape(&self.id),
-            escape(&self.status)
-        ));
-        match &self.degradation {
-            Some(d) => s.push_str(&format!("\"degradation\":\"{}\",", escape(d))),
-            None => s.push_str("\"degradation\":null,"),
-        }
-        s.push_str(&format!(
-            "\"attempts\":{},\"cached\":{},",
-            self.attempts, self.cached
-        ));
-        match self.retry_after_ms {
-            Some(ms) => s.push_str(&format!("\"retry_after_ms\":{ms}")),
-            None => s.push_str("\"retry_after_ms\":null"),
-        }
-        if let Some(code) = &self.code {
-            s.push_str(&format!(",\"code\":\"{}\"", escape(code)));
-        }
-        if let Some(msg) = &self.message {
-            s.push_str(&format!(",\"message\":\"{}\"", escape(msg)));
-        }
-        if let Some(t) = self.types {
-            s.push_str(&format!(",\"types\":{t}"));
-        }
-        if let Some(c) = self.baseline_cycles {
-            s.push_str(&format!(",\"baseline_cycles\":{c}"));
-        }
-        if let Some(c) = self.optimized_cycles {
-            s.push_str(&format!(",\"optimized_cycles\":{c}"));
-        }
-        if let Some(r) = self.report_available {
-            s.push_str(&format!(",\"report_available\":{r}"));
-        }
-        if self.replayed {
-            s.push_str(",\"replayed\":true");
-        }
-        s.push('}');
-        s
+        let detail: [(&str, JsonValue); 7] = [
+            ("code", self.code.as_deref().into()),
+            ("message", self.message.as_deref().into()),
+            ("types", self.types.into()),
+            ("baseline_cycles", self.baseline_cycles.into()),
+            ("optimized_cycles", self.optimized_cycles.into()),
+            ("report_available", self.report_available.into()),
+            ("replayed", self.replayed.then_some(true).into()),
+        ];
+        let stable = [
+            ("v", self.v.into()),
+            ("id", self.id.as_str().into()),
+            ("status", self.status.as_str().into()),
+            ("degradation", self.degradation.as_deref().into()),
+            ("attempts", self.attempts.into()),
+            ("cached", self.cached.into()),
+            ("retry_after_ms", self.retry_after_ms.into()),
+        ];
+        // Unset detail fields are left out, not written as `null`.
+        let present = detail.into_iter().filter(|(_, v)| *v != JsonValue::Null);
+        JsonValue::object(stable.into_iter().chain(present)).to_json()
     }
 
     /// Parse a reply line back into a [`Response`] — the client half of
     /// the protocol (bench drivers, chaos campaigns, conformance
-    /// tests).
+    /// tests). Unknown fields are ignored, so later versions may add
+    /// detail.
     ///
     /// # Errors
     ///
-    /// A short message if the line is not a v1 reply object.
+    /// A short message if the line is not one JSON object, lacks `v`,
+    /// `id` or `status`, or carries a known field of the wrong type or
+    /// out of range.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err("not a JSON object line".to_string());
+        let doc = parse_json(line.trim())?;
+        if !matches!(doc, JsonValue::Obj(_)) {
+            return Err("not a JSON object".to_string());
         }
-        let v = field_u64(line, "v").ok_or("missing `v`")?;
-        let id = field_str(line, "id").ok_or("missing `id`")?;
-        let status = field_str(line, "status").ok_or("missing `status`")?;
+        let string = |key| field(&doc, key, |v| v.as_str().map(str::to_string));
+        let uint = |key| field(&doc, key, JsonValue::as_u64);
+        let boolean = |key| field(&doc, key, JsonValue::as_bool);
+        let attempts = uint("attempts")?.unwrap_or(0);
         Ok(Response {
-            v,
-            id,
-            status,
-            degradation: field_str(line, "degradation"),
-            attempts: field_u64(line, "attempts").unwrap_or(0) as u32,
-            cached: field_bool(line, "cached").unwrap_or(false),
-            retry_after_ms: field_u64(line, "retry_after_ms"),
-            code: field_str(line, "code"),
-            message: field_str(line, "message"),
-            types: field_u64(line, "types"),
-            baseline_cycles: field_u64(line, "baseline_cycles"),
-            optimized_cycles: field_u64(line, "optimized_cycles"),
-            report_available: field_bool(line, "report_available"),
-            replayed: field_bool(line, "replayed").unwrap_or(false),
+            v: uint("v")?.ok_or("missing `v`")?,
+            id: string("id")?.ok_or("missing `id`")?,
+            status: string("status")?.ok_or("missing `status`")?,
+            degradation: string("degradation")?,
+            attempts: u32::try_from(attempts)
+                .map_err(|_| format!("`attempts` {attempts} is out of range"))?,
+            cached: boolean("cached")?.unwrap_or(false),
+            retry_after_ms: uint("retry_after_ms")?,
+            code: string("code")?,
+            message: string("message")?,
+            types: uint("types")?,
+            baseline_cycles: uint("baseline_cycles")?,
+            optimized_cycles: uint("optimized_cycles")?,
+            report_available: boolean("report_available")?,
+            replayed: boolean("replayed")?.unwrap_or(false),
         })
     }
 
     /// Mark a serialized reply line as replayed from the journal (the
     /// WAL stores the original reply verbatim; replay re-emits it with
-    /// the `replayed` marker appended).
+    /// the `replayed` marker appended). Summaries that are not JSON
+    /// objects — journals written by older builds in the pre-protocol
+    /// line format — get a ` [journal]` suffix instead.
     pub fn mark_replayed(line: &str) -> String {
         let trimmed = line.trim_end();
-        match trimmed.strip_suffix('}') {
-            Some(head) if trimmed.starts_with('{') && !trimmed.contains("\"replayed\":") => {
-                format!("{head},\"replayed\":true}}")
+        match parse_json(trimmed) {
+            Ok(mut doc @ JsonValue::Obj(_)) => {
+                doc.set("replayed", true);
+                doc.to_json()
             }
             _ => format!("{trimmed} [journal]"),
         }
     }
 }
 
-/// The pre-protocol human-readable result line (one per outcome),
-/// kept as `slo serve --legacy-lines` / `slo batch`'s display format
-/// for one release.
+/// A known reply field: absent and `null` both mean "not set"; any
+/// other value must convert with `as_t`, or the reply is malformed.
+fn field<T>(
+    doc: &JsonValue,
+    key: &str,
+    as_t: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match doc.get(key) {
+        None | Some(JsonValue::Null) => Ok(None),
+        Some(v) => as_t(v)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` has the wrong type")),
+    }
+}
+
+/// The human-readable result line (one per outcome): `slo batch`'s
+/// display format.
 pub fn legacy_line(o: &crate::job::JobOutcome) -> String {
     let cache = if o.metrics.cache_hit { " [cached]" } else { "" };
     match &o.status {
@@ -386,130 +388,6 @@ pub fn legacy_line(o: &crate::job::JobOutcome) -> String {
     }
 }
 
-// --- minimal JSON escaping/field extraction ----------------------------
-// The workspace is deliberately serde-free; these helpers are shared
-// with the journal (which stores reply lines) and are just enough to
-// round-trip the flat objects this module emits.
-
-/// JSON-escape a string's contents (no surrounding quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Undo [`escape`].
-pub(crate) fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Find `tag` (a `"name":`-shaped prefix) at *top level* of a flat
-/// object line — never inside a quoted string value, where escaped
-/// content can reproduce the byte sequence of any field tag (e.g. a
-/// message containing `"types":999`). Returns the byte index just past
-/// the tag. Sound because [`escape`] backslashes every interior quote:
-/// a tag's unescaped leading quote can only occur where a string opens,
-/// and a string value's body can never start with `name":` unescaped.
-fn top_level_find(line: &str, tag: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut in_string = false;
-    let mut escaped = false;
-    for i in 0..bytes.len() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if bytes[i] == b'\\' {
-                escaped = true;
-            } else if bytes[i] == b'"' {
-                in_string = false;
-            }
-        } else if bytes[i] == b'"' {
-            if line[i..].starts_with(tag) {
-                return Some(i + tag.len());
-            }
-            in_string = true;
-        }
-    }
-    None
-}
-
-/// Extract the string value of `"name":"..."` from a flat object line,
-/// honoring backslash escapes. `None` on absence, `null`, or
-/// malformation.
-pub(crate) fn field_str(line: &str, name: &str) -> Option<String> {
-    let tag = format!("\"{name}\":\"");
-    let start = top_level_find(line, &tag)?;
-    let rest = &line[start..];
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Some(unescape(&rest[..i]));
-        }
-    }
-    None
-}
-
-/// Extract the unsigned-integer value of `"name":N`. `None` on absence
-/// or `null`.
-pub(crate) fn field_u64(line: &str, name: &str) -> Option<u64> {
-    let tag = format!("\"{name}\":");
-    let start = top_level_find(line, &tag)?;
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract the boolean value of `"name":true|false`.
-pub(crate) fn field_bool(line: &str, name: &str) -> Option<bool> {
-    let tag = format!("\"{name}\":");
-    let start = top_level_find(line, &tag)?;
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 // --- the transport-agnostic session ------------------------------------
 
 /// What a handled line asks the transport to do.
@@ -528,31 +406,27 @@ pub enum Reply {
 /// [`Session::handle_line`]; the session parses them through the
 /// shared validator, answers journaled jobs from the WAL, runs the
 /// rest on the service (journaling each outcome *before* it is
-/// acknowledged), and renders replies in the JSON protocol or the
-/// legacy line format.
+/// acknowledged), and renders replies in the JSON protocol.
 pub struct Session<'a> {
     service: &'a Service,
     journal: Option<&'a Mutex<Journal>>,
     dir: PathBuf,
-    legacy: bool,
     served: AtomicU64,
     replayed: AtomicU64,
 }
 
 impl<'a> Session<'a> {
     /// A session over `service`, resolving job-line paths against
-    /// `dir`. `legacy` selects the pre-protocol line format.
+    /// `dir`.
     pub fn new(
         service: &'a Service,
         journal: Option<&'a Mutex<Journal>>,
         dir: PathBuf,
-        legacy: bool,
     ) -> Session<'a> {
         Session {
             service,
             journal,
             dir,
-            legacy,
             served: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
         }
@@ -568,15 +442,6 @@ impl<'a> Session<'a> {
         self.replayed.load(Ordering::Relaxed)
     }
 
-    /// Render a protocol error in the session's reply format.
-    pub fn render_error(&self, err: &WireError) -> String {
-        if self.legacy {
-            format!("error: {}", err.message)
-        } else {
-            Response::error("", err).to_json()
-        }
-    }
-
     /// Handle one wire line end to end. Blank lines and comments yield
     /// an empty reply. The chaos plan's manifest ingress sites mangle
     /// the line before parsing (a disabled plan is the identity), the
@@ -590,15 +455,11 @@ impl<'a> Session<'a> {
         let wire = chaos_line(trimmed, self.service.fault_plan());
         let req = match Request::parse(&self.dir, &wire) {
             Ok(req) => req,
-            Err(e) => return Reply::Lines(vec![self.render_error(&e)]),
+            Err(e) => return Reply::Lines(vec![Response::error("", &e).to_json()]),
         };
         match req {
             Request::Quit => Reply::Quit,
-            Request::Hello { .. } => Reply::Lines(vec![if self.legacy {
-                format!("hello v={PROTO_VERSION}")
-            } else {
-                Response::hello().to_json()
-            }]),
+            Request::Hello { .. } => Reply::Lines(vec![Response::hello().to_json()]),
             Request::Metrics => Reply::Text(format!("{}\n", self.service.metrics().to_json())),
             Request::MetricsProm => Reply::Text(self.service.metrics().to_prometheus()),
             Request::Jobs(jobs) => Reply::Lines(self.run_jobs(&wire, jobs)),
@@ -634,11 +495,7 @@ impl<'a> Session<'a> {
             .zip(&todo)
         {
             self.served.fetch_add(1, Ordering::Relaxed);
-            let reply = if self.legacy {
-                legacy_line(o)
-            } else {
-                Response::from_outcome(o).to_json()
-            };
+            let reply = Response::from_outcome(o).to_json();
             // WAL order: make the outcome durable first, acknowledge
             // second — a kill between the two recomputes the job
             // instead of losing an acked reply.
@@ -799,13 +656,52 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_what_to_json_never_emits() {
+        let good = Response::hello().to_json();
+        // Unknown fields are ignored, so later versions can add detail.
+        let extended = good.replace('}', ",\"future\":[1,{\"x\":null}]}");
+        assert_eq!(Response::parse(&extended), Ok(Response::hello()));
+        let max = good.replace("\"attempts\":0", "\"attempts\":4294967295");
+        assert_eq!(Response::parse(&max).map(|r| r.attempts), Ok(u32::MAX));
+        for bad in [
+            // Out of range for `u32` (once wrapped to 1 by a cast).
+            good.replace("\"attempts\":0", "\"attempts\":4294967297"),
+            good.replace("\"attempts\":0", "\"attempts\":-1"),
+            // Wrongly typed known fields.
+            good.replace("\"v\":1", "\"v\":\"1\""),
+            good.replace("\"id\":\"hello\"", "\"id\":7"),
+            good.replace("\"status\":\"ok\"", "\"status\":[]"),
+            good.replace("\"degradation\":null", "\"degradation\":false"),
+            good.replace("\"cached\":false", "\"cached\":0"),
+            good.replace("\"retry_after_ms\":null", "\"retry_after_ms\":1.5"),
+            good.replace('}', ",\"types\":\"2\"}"),
+            // Missing stable fields.
+            good.replace("\"status\":\"ok\",", ""),
+            "{}".to_string(),
+            // Malformed lines that merely start with `{` and end with `}`.
+            "{not json}".to_string(),
+            good.replace(",\"cached\"", ",,\"cached\""),
+            format!("{good}}}"),
+            format!("{{{good}"),
+            "[1]".to_string(),
+        ] {
+            assert!(Response::parse(&bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
     fn mark_replayed_appends_marker_once() {
         let r = Response::hello().to_json();
         let marked = Response::mark_replayed(&r);
         assert!(marked.ends_with(",\"replayed\":true}"), "{marked}");
         let parsed = Response::parse(&marked).expect("still parseable");
         assert!(parsed.replayed);
-        // legacy (non-JSON) summaries get the old suffix
+        assert_eq!(Response::mark_replayed(&marked), marked, "marked once");
+        // A message quoting the marker's text does not count as one.
+        let err = Response::error("", &WireError::new("x", "says \"replayed\":true"));
+        let marked = Response::mark_replayed(&err.to_json());
+        assert!(Response::parse(&marked).expect("still parseable").replayed);
+        // Non-JSON summaries from older journals get the old suffix.
         assert_eq!(
             Response::mark_replayed("a optimized 1"),
             "a optimized 1 [journal]"
@@ -820,7 +716,7 @@ mod tests {
         let _ = std::fs::remove_file(&jpath);
         let service = Service::new(crate::ServiceConfig::builder().workers(1).build());
         let journal = Mutex::new(Journal::open(&jpath).expect("journal"));
-        let session = Session::new(&service, Some(&journal), d.clone(), false);
+        let session = Session::new(&service, Some(&journal), d.clone());
 
         let Reply::Lines(lines) = session.handle_line("s.sir scheme=ispbo") else {
             panic!("expected lines")

@@ -36,8 +36,8 @@ use crate::pool::par_map_supervised;
 use crate::store::AnalysisStore;
 use slo::analysis::{ipa_fingerprint, WeightScheme};
 use slo::{Analysis, Evaluation};
-use slo_chaos::{fnv1a, Clock, FaultPlan, RetryPolicy};
-use slo_ir::{printer::print_program, Program};
+use slo_chaos::{Clock, FaultPlan, RetryPolicy};
+use slo_ir::{printer::print_program, Fnv64, Program};
 use slo_vm::{ExecError, Feedback, VmOptions};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -247,7 +247,7 @@ impl Service {
         let mut span = self.trace.span("service", format!("job:{}", job.id));
         // Per-job backoff seed: distinct jobs never thunder in
         // lockstep, and reruns of a batch replay the same schedule.
-        let mut schedule = self.retry.schedule(fnv1a(job.id.as_bytes()));
+        let mut schedule = self.retry.schedule(Fnv64::hash_bytes(job.id.as_bytes()));
         let mut attempts: u32 = 1;
         let mut quarantined = false;
         let mut acc = JobMetrics::default();

@@ -61,7 +61,8 @@
 //! [`ipa_fingerprint`]: slo::analysis::ipa_fingerprint
 
 use slo::Analysis;
-use slo_chaos::{fnv1a, FaultPlan, Site};
+use slo_chaos::{FaultPlan, Site};
+use slo_ir::Fnv64;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -530,7 +531,7 @@ fn encode_frame(key: u64, payload: &[u8]) -> Vec<u8> {
     frame.extend_from_slice(&key.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
-    let sum = fnv1a(&frame);
+    let sum = Fnv64::hash_bytes(&frame);
     frame.extend_from_slice(&sum.to_le_bytes());
     frame
 }
@@ -548,7 +549,7 @@ fn verify_frame(frame: &[u8], expect_key: Option<u64>) -> Option<u64> {
     }
     let body = &frame[..HEADER_BYTES + len];
     let sum = u64::from_le_bytes(frame[HEADER_BYTES + len..].try_into().unwrap());
-    if fnv1a(body) != sum || expect_key.is_some_and(|k| k != key) {
+    if Fnv64::hash_bytes(body) != sum || expect_key.is_some_and(|k| k != key) {
         return None;
     }
     Some(key)

@@ -26,7 +26,7 @@
 //! workload.
 
 use crate::cache::CacheSim;
-use crate::heap::{Heap, ScalarValue};
+use crate::heap::{array_bytes, Heap, ScalarValue};
 use crate::interp::{ExecError, ExecOutcome, ExecStats, VmOptions, FNPTR_BASE};
 use crate::profile::{Countdown, Feedback, StrideTable};
 use crate::value::Value;
@@ -683,7 +683,7 @@ pub fn run_func_decoded(
     let trace = opts.trace.clone();
     let mut span = trace.span("vm", "vm.run");
     span.arg("engine", "decoded");
-    let mut vm = DecVm::new(prog, dec, opts.clone());
+    let mut vm = DecVm::new(prog, dec, opts.clone())?;
     let exit = vm.call(entry, args)?;
     let (stats, feedback) = vm.into_parts();
     span.arg("instructions", stats.instructions);
@@ -738,12 +738,12 @@ fn operand(regs: &[Value], op: Operand) -> Value {
 }
 
 impl<'p> DecVm<'p> {
-    fn new(prog: &'p Program, dec: &'p DecodedProgram, opts: VmOptions) -> Self {
+    fn new(prog: &'p Program, dec: &'p DecodedProgram, opts: VmOptions) -> Result<Self, ExecError> {
         let mut heap = Heap::new();
         let mut global_addr = Vec::with_capacity(prog.globals.len());
         for g in &prog.globals {
             let sz = prog.types.size_of(g.ty).max(1);
-            global_addr.push(heap.reserve_static(sz));
+            global_addr.push(heap.reserve_static(sz)?);
         }
         let cache = CacheSim::new(opts.cache.clone());
         let feedback = Feedback::new(opts.sample_period);
@@ -771,7 +771,7 @@ impl<'p> DecVm<'p> {
         } else {
             Vec::new()
         };
-        DecVm {
+        Ok(DecVm {
             prog,
             dec,
             opts,
@@ -786,7 +786,7 @@ impl<'p> DecVm<'p> {
             edge_counts,
             entry_counts: vec![0; nfuncs],
             frame_pool: Vec::new(),
-        }
+        })
     }
 
     fn into_parts(mut self) -> (ExecStats, Feedback) {
@@ -938,6 +938,33 @@ impl<'p> DecVm<'p> {
                 },
                 (other, _) => other,
             })
+    }
+
+    /// An `alloc` of `count` elements of `elem_size` bytes, charged to
+    /// the cost model. Out of line, like [`DecVm::realloc`]: the
+    /// dispatch loop in [`DecVm::exec`] loses 5-10% of its speed when
+    /// the allocation paths are inlined into it.
+    #[inline(never)]
+    fn alloc(&mut self, count: u64, elem_size: u64, zeroed: bool) -> Result<u64, ExecError> {
+        if self.opts.faults.should_fire(slo_chaos::Site::VmAlloc) {
+            return Err(ExecError::Injected("heap allocation refused"));
+        }
+        let bytes = array_bytes(count, elem_size)?;
+        let a = self.heap.try_alloc(bytes)?;
+        self.stats.cycles += self.opts.cost.alloc_cost;
+        if zeroed {
+            self.stats.cycles += bytes / 8 * self.opts.cost.zero_per_8bytes;
+        }
+        Ok(a)
+    }
+
+    /// A `realloc` of `addr` to `count` elements of `elem_size` bytes.
+    #[inline(never)]
+    fn realloc(&mut self, addr: u64, count: u64, elem_size: u64) -> Result<u64, ExecError> {
+        let bytes = array_bytes(count, elem_size)?;
+        let na = self.heap.realloc(addr, bytes)?;
+        self.stats.cycles += self.opts.cost.alloc_cost + bytes / 16;
+        Ok(na)
     }
 
     fn exec(
@@ -1186,17 +1213,8 @@ impl<'p> DecVm<'p> {
                         count,
                         zeroed,
                     } => {
-                        if self.opts.faults.should_fire(slo_chaos::Site::VmAlloc) {
-                            return Err(ExecError::Injected("heap allocation refused"));
-                        }
                         let n = operand(&frame.regs, *count).as_int().max(0) as u64;
-                        let bytes = n * elem_size;
-                        let a = self.heap.alloc(bytes);
-                        self.stats.cycles += self.opts.cost.alloc_cost;
-                        if *zeroed {
-                            self.stats.cycles += bytes / 8 * self.opts.cost.zero_per_8bytes;
-                        }
-                        frame.regs[*dst as usize] = Value::Ptr(a);
+                        frame.regs[*dst as usize] = Value::Ptr(self.alloc(n, *elem_size, *zeroed)?);
                     }
                     DInstr::Free { ptr } => {
                         let a = operand(&frame.regs, *ptr).as_ptr();
@@ -1211,10 +1229,7 @@ impl<'p> DecVm<'p> {
                     } => {
                         let a = operand(&frame.regs, *ptr).as_ptr();
                         let n = operand(&frame.regs, *count).as_int().max(0) as u64;
-                        let bytes = n * elem_size;
-                        let na = self.heap.realloc(a, bytes)?;
-                        self.stats.cycles += self.opts.cost.alloc_cost + bytes / 16;
-                        frame.regs[*dst as usize] = Value::Ptr(na);
+                        frame.regs[*dst as usize] = Value::Ptr(self.realloc(a, n, *elem_size)?);
                     }
                     DInstr::Memcpy {
                         dst,

@@ -28,6 +28,14 @@ pub enum MemError {
         /// The faulting address.
         addr: u64,
     },
+    /// An allocation of `count` elements of `elem_size` bytes that the
+    /// arena cannot hold (its byte size overflows, or growth failed).
+    OutOfMemory {
+        /// Requested element count.
+        count: u64,
+        /// Bytes per element.
+        elem_size: u64,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -38,11 +46,23 @@ impl fmt::Display for MemError {
                 write!(f, "out-of-bounds access of {size} bytes at 0x{addr:x}")
             }
             MemError::InvalidFree { addr } => write!(f, "invalid free of 0x{addr:x}"),
+            MemError::OutOfMemory { count, elem_size } => {
+                write!(f, "cannot allocate {count} x {elem_size} bytes")
+            }
         }
     }
 }
 
 impl std::error::Error for MemError {}
+
+/// The byte size of `count` elements of `elem_size` bytes (an `alloc`
+/// or `realloc` instruction's request), or [`MemError::OutOfMemory`] if
+/// it overflows `u64`.
+pub fn array_bytes(count: u64, elem_size: u64) -> Result<u64, MemError> {
+    count
+        .checked_mul(elem_size)
+        .ok_or(MemError::OutOfMemory { count, elem_size })
+}
 
 const BASE: u64 = 0x1000;
 const ALIGN: u64 = 16;
@@ -79,27 +99,52 @@ impl Heap {
         }
     }
 
-    fn ensure(&mut self, end: u64) {
+    /// Claim `size` bytes (at least one) at the next aligned address,
+    /// growing the arena; a size the host cannot provide is an error,
+    /// never an abort.
+    fn claim(&mut self, size: u64) -> Result<u64, MemError> {
+        let (addr, eff) = (self.next, size.max(1));
+        let oom = MemError::OutOfMemory {
+            count: size,
+            elem_size: 1,
+        };
+        let end = addr
+            .checked_add(eff)
+            .filter(|&end| end <= isize::MAX as u64)
+            .ok_or(oom)?;
         let need = end as usize;
         if self.mem.len() < need {
-            self.mem.resize(need.next_power_of_two().max(4096), 0);
+            let target = need.checked_next_power_of_two().unwrap_or(need).max(4096);
+            let grow = self.mem.try_reserve_exact(target - self.mem.len());
+            grow.map_err(|_| oom)?;
+            self.mem.resize(target, 0);
         }
+        self.next = end.div_ceil(ALIGN) * ALIGN;
+        self.allocs.insert(addr, eff);
+        Ok(addr)
     }
 
     /// Allocate `size` bytes; returns the base address (16-byte aligned).
     /// Zero-size allocations return a unique non-null address.
-    pub fn alloc(&mut self, size: u64) -> u64 {
-        let addr = self.next;
-        let eff = size.max(1);
-        self.next = (addr + eff).div_ceil(ALIGN) * ALIGN;
-        self.ensure(addr + eff);
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfMemory`] if the arena cannot grow to hold it.
+    pub fn try_alloc(&mut self, size: u64) -> Result<u64, MemError> {
+        let addr = self.claim(size)?;
         // fresh memory is zeroed (the arena starts zeroed); callers that
         // model `malloc` cost vs `calloc` cost do so in the cost model.
-        self.allocs.insert(addr, eff);
+        let eff = size.max(1);
         self.total_allocated += eff;
         self.live_bytes += eff;
         self.peak_live = self.peak_live.max(self.live_bytes);
-        addr
+        Ok(addr)
+    }
+
+    /// [`Heap::try_alloc`] for sizes known to fit; panics on
+    /// [`MemError::OutOfMemory`].
+    pub fn alloc(&mut self, size: u64) -> u64 {
+        self.try_alloc(size).expect("simulated heap exhausted")
     }
 
     /// Free an allocation.
@@ -125,16 +170,17 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// [`MemError::InvalidFree`] if `addr` is non-null and not a live base.
+    /// [`MemError::InvalidFree`] if `addr` is non-null and not a live base;
+    /// [`MemError::OutOfMemory`] if the new block does not fit.
     pub fn realloc(&mut self, addr: u64, new_size: u64) -> Result<u64, MemError> {
         if addr == 0 {
-            return Ok(self.alloc(new_size));
+            return self.try_alloc(new_size);
         }
         let old = *self
             .allocs
             .get(&addr)
             .ok_or(MemError::InvalidFree { addr })?;
-        let naddr = self.alloc(new_size);
+        let naddr = self.try_alloc(new_size)?;
         let n = old.min(new_size) as usize;
         let (a, na) = (addr as usize, naddr as usize);
         self.mem.copy_within(a..a + n, na);
@@ -144,12 +190,12 @@ impl Heap {
 
     /// Reserve a region at the bottom of the address space for globals
     /// (called once at program start, before any `alloc`).
-    pub fn reserve_static(&mut self, size: u64) -> u64 {
-        let addr = self.next;
-        self.next = (addr + size.max(1)).div_ceil(ALIGN) * ALIGN;
-        self.ensure(addr + size.max(1));
-        self.allocs.insert(addr, size.max(1));
-        addr
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfMemory`] if the arena cannot grow to hold it.
+    pub fn reserve_static(&mut self, size: u64) -> Result<u64, MemError> {
+        self.claim(size)
     }
 
     fn check(&self, addr: u64, size: u64) -> Result<(), MemError> {
@@ -425,7 +471,7 @@ mod tests {
     #[test]
     fn static_region_below_heap() {
         let mut h = Heap::new();
-        let g = h.reserve_static(64);
+        let g = h.reserve_static(64).expect("reserve");
         let a = h.alloc(8);
         assert!(g < a);
         h.write_bytes(g, 8, 7).expect("write global");

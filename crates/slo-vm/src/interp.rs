@@ -9,7 +9,7 @@
 
 use crate::cache::{CacheConfig, CacheSim, CacheStats};
 use crate::cost::CostModel;
-use crate::heap::{Heap, MemError, ScalarValue};
+use crate::heap::{array_bytes, Heap, MemError, ScalarValue};
 use crate::profile::{Countdown, Feedback, StrideTable};
 use crate::value::Value;
 use slo_ir::{BlockId, FuncId, FuncKind, Instr, InstrRef, Operand, Program, Reg, ScalarKind, Type};
@@ -338,7 +338,7 @@ pub fn run_func(
             let trace = opts.trace.clone();
             let mut span = trace.span("vm", "vm.run");
             span.arg("engine", "structured");
-            let mut vm = Vm::new(prog, opts.clone());
+            let mut vm = Vm::new(prog, opts.clone())?;
             let exit = vm.call(entry, args)?;
             let (stats, feedback) = vm.into_parts();
             span.arg("instructions", stats.instructions);
@@ -383,17 +383,17 @@ struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    fn new(prog: &'p Program, opts: VmOptions) -> Self {
+    fn new(prog: &'p Program, opts: VmOptions) -> Result<Self, ExecError> {
         let mut heap = Heap::new();
         let mut global_addr = Vec::with_capacity(prog.globals.len());
         for g in &prog.globals {
             let sz = prog.types.size_of(g.ty).max(1);
-            global_addr.push(heap.reserve_static(sz));
+            global_addr.push(heap.reserve_static(sz)?);
         }
         let cache = CacheSim::new(opts.cache.clone());
         let feedback = Feedback::new(opts.sample_period);
         let sampler = Countdown::new(opts.sample_period);
-        Vm {
+        Ok(Vm {
             prog,
             opts,
             heap,
@@ -405,7 +405,7 @@ impl<'p> Vm<'p> {
             strides: std::collections::HashMap::new(),
             last_instr: None,
             frame_pool: Vec::new(),
-        }
+        })
     }
 
     fn into_parts(mut self) -> (ExecStats, Feedback) {
@@ -666,8 +666,8 @@ impl<'p> Vm<'p> {
                             return Err(ExecError::Injected("heap allocation refused"));
                         }
                         let n = self.operand(frame, *count).as_int().max(0) as u64;
-                        let bytes = n * self.prog.types.size_of(*elem);
-                        let a = self.heap.alloc(bytes);
+                        let bytes = array_bytes(n, self.prog.types.size_of(*elem))?;
+                        let a = self.heap.try_alloc(bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost;
                         if *zeroed {
                             self.stats.cycles += bytes / 8 * self.opts.cost.zero_per_8bytes;
@@ -687,7 +687,7 @@ impl<'p> Vm<'p> {
                     } => {
                         let a = self.operand(frame, *ptr).as_ptr();
                         let n = self.operand(frame, *count).as_int().max(0) as u64;
-                        let bytes = n * self.prog.types.size_of(*elem);
+                        let bytes = array_bytes(n, self.prog.types.size_of(*elem))?;
                         let na = self.heap.realloc(a, bytes)?;
                         self.stats.cycles += self.opts.cost.alloc_cost + bytes / 16;
                         frame.regs[dst.0 as usize] = Value::Ptr(na);
@@ -1361,6 +1361,38 @@ bb0:
                 "engine {:?}",
                 opts.engine
             );
+        }
+    }
+
+    #[test]
+    fn impossible_allocation_sizes_are_errors_on_both_engines() {
+        // 4611686018427387905 or i64::MAX elements of 8 bytes overflow
+        // u64; i64::MAX single bytes fit u64 but exceed isize::MAX, so
+        // arena growth refuses them before asking the host for memory.
+        for (ty, elem_size, count) in [
+            ("i64", 8, 4_611_686_018_427_387_905i64),
+            ("i64", 8, i64::MAX),
+            ("i8", 1, i64::MAX),
+        ] {
+            let want = MemError::OutOfMemory {
+                count: count as u64,
+                elem_size,
+            };
+            for body in [
+                format!("r0 = alloc {ty}, {count}"),
+                format!("r1 = alloc {ty}, 1\n  r0 = realloc r1, {ty}, {count}"),
+            ] {
+                let src = format!("func main() -> i64 {{\nbb0:\n  {body}\n  ret 0\n}}\n");
+                let p = parse(&src).expect("parse");
+                for opts in [VmOptions::default(), VmOptions::default().structured()] {
+                    match run(&p, &opts) {
+                        Err(ExecError::Mem(e) | ExecError::MemAt { err: e, .. }) => {
+                            assert_eq!(e, want, "{body} on {:?}", opts.engine)
+                        }
+                        other => panic!("{body} on {:?}: got {other:?}", opts.engine),
+                    }
+                }
+            }
         }
     }
 
